@@ -18,9 +18,10 @@ policy_invalidate_l2 / policy_writeback_l2``.
 The common-case path (an L1 or L2 hit) is *staged*: it asks the cache for a
 packed line index (:meth:`~repro.mem.cache.Cache.access_index`) and reads
 the MESI state as an integer code, so a hit costs a handful of list reads
-and no allocation.  Rarer transactions (misses, directory actions,
-refresh-policy callbacks) materialise the per-line views, whose object
-interface carries the directory's sharer sets.
+and no allocation.  Misses, fills, evictions and private-cache coherence
+actions stay on line indices too; only the directory's sharer/owner updates
+(and the refresh-policy callbacks) go through a per-line view, built the
+first time its L3 line needs one.
 
 Every cache access, network message and DRAM access is recorded in a shared
 :class:`~repro.utils.statistics.Counter`, from which the energy model builds
@@ -41,6 +42,8 @@ from repro.mem.cache import Cache
 from repro.mem.dram import MainMemory
 from repro.mem.line import (
     DirectoryLine,
+    L3_CLEAN,
+    L3_DIRTY,
     MESI_EXCLUSIVE,
     MESI_MODIFIED,
     MESI_SHARED,
@@ -235,15 +238,17 @@ class DirectoryProtocol:
                 self._array_access(
                     bank.cache, "l3_writes", "l3_refresh_stall_cycles", cycle, block
                 )
-                l3_line = bank.cache.probe(block)
-                if isinstance(l3_line, DirectoryLine) and l3_line.valid:
-                    l3_line.mark_dirty()
-                    Directory.clear_owner(l3_line)
+                l3 = bank.cache
+                l3_index = l3.probe_index(block)
+                if l3_index >= 0:
+                    l3.set_l3_state_code(l3_index, L3_DIRTY)
+                    l3.clear_owner_index(l3_index)
                 l2.set_state_code(index, MESI_SHARED)
         for bank in self.banks:
-            for index in bank.cache.dirty_indices():
+            l3 = bank.cache
+            for index in l3.dirty_indices():
                 self.dram.write(0)
-                bank.cache.view(index).mark_clean()
+                l3.set_l3_state_code(index, L3_CLEAN)
 
     # ------------------------------------------------------------------
     # Refresh-policy entry points
@@ -444,15 +449,15 @@ class DirectoryProtocol:
         latency = self._count_message(
             MessageKind.OWNER_FETCH, bank.vertex, owner, data=False
         )
-        owner_caches = self.cores[owner]
+        owner_l2 = self.cores[owner].l2
         latency += self._array_access(
-            owner_caches.l2, "l2_reads", "l2_refresh_stall_cycles",
-            cycle + latency, block,
+            owner_l2, "l2_reads", "l2_refresh_stall_cycles", cycle + latency, block
         )
-        owner_line = owner_caches.l2.probe(block)
-        dirty = owner_line is not None and owner_line.state is MESIState.MODIFIED
-        if owner_line is not None:
-            owner_line.state = MESIState.SHARED
+        owner_index = owner_l2.probe_index(block)
+        dirty = False
+        if owner_index >= 0:
+            dirty = owner_l2.state_code(owner_index) == MESI_MODIFIED
+            owner_l2.set_state_code(owner_index, MESI_SHARED)
         if dirty:
             latency += self._count_message(
                 MessageKind.WRITEBACK, owner, bank.vertex, data=True
@@ -475,19 +480,20 @@ class DirectoryProtocol:
     ) -> DirectoryLine:
         """Bring a block on chip, evicting (and back-invalidating) a victim."""
         self.dram.read(block)
-        victim = bank.cache.choose_victim(block)
-        if victim.was_valid:
-            victim_line = victim.line
-            assert isinstance(victim_line, DirectoryLine)
+        l3 = bank.cache
+        index = l3.choose_victim_index(block)
+        if l3.valid_at(index):
+            victim_block = l3.block_address_at(index)
             self.counters.add("l3_evictions")
             dirty_above = self._back_invalidate(
-                bank, victim.block_address, victim_line, cycle
+                bank, victim_block, l3.view(index), cycle
             )
-            if victim_line.dirty or dirty_above:
-                self.dram.write(victim.block_address)
+            if l3.dirty_at(index) or dirty_above:
+                self.dram.write(victim_block)
                 self.counters.add("l3_eviction_writebacks")
-        line = bank.cache.fill(block, MESIState.SHARED, cycle, victim)
+        l3.fill_index(index, block, MESI_SHARED, cycle)
         self.counters.add("l3_writes")
+        line = l3.view(index)
         assert isinstance(line, DirectoryLine)
         return line
 
@@ -566,9 +572,10 @@ class DirectoryProtocol:
             MessageKind.INVALIDATE, bank.vertex, core_id, data=False
         )
         caches = self.cores[core_id]
-        l2_line = caches.l2.probe(block)
-        if l2_line is not None:
-            if l2_line.state is MESIState.MODIFIED:
+        l2 = caches.l2
+        l2_index = l2.probe_index(block)
+        if l2_index >= 0:
+            if l2.state_code(l2_index) == MESI_MODIFIED:
                 latency += self._count_message(
                     MessageKind.WRITEBACK, core_id, bank.vertex, data=True
                 )
@@ -578,7 +585,7 @@ class DirectoryProtocol:
                 )
                 line.mark_dirty()
                 line.refresh(cycle + latency)
-            l2_line.invalidate()
+            l2.invalidate_index(l2_index)
         caches.invalidate_l1_copies(block)
         latency += self._count_message(
             MessageKind.ACK, core_id, bank.vertex, data=False
@@ -602,14 +609,15 @@ class DirectoryProtocol:
         for core_id in holders:
             self._count_message(MessageKind.INVALIDATE, bank.vertex, core_id, data=False)
             caches = self.cores[core_id]
-            l2_line = caches.l2.probe(block)
-            if l2_line is not None and l2_line.valid:
-                if l2_line.state is MESIState.MODIFIED:
+            l2 = caches.l2
+            l2_index = l2.probe_index(block)
+            if l2_index >= 0:
+                if l2.state_code(l2_index) == MESI_MODIFIED:
                     dirty_above = True
                     self._count_message(
                         MessageKind.WRITEBACK, core_id, bank.vertex, data=True
                     )
-                l2_line.invalidate()
+                l2.invalidate_index(l2_index)
             caches.invalidate_l1_copies(block)
             self._count_message(MessageKind.ACK, core_id, bank.vertex, data=False)
             self.counters.add("back_invalidations")

@@ -218,8 +218,11 @@ class RefrintSimulator:
             wheel_scans=wheel.scans if wheel is not None else 0,
         )
 
+        # A core with an empty trace legitimately finishes at cycle 0.
         execution_cycles = max(
-            core.stats.finish_cycle or events.now for core in cores
+            events.now if core.stats.finish_cycle is None
+            else core.stats.finish_cycle
+            for core in cores
         )
         if self.config.flush_dirty_at_end:
             hierarchy.flush_dirty(execution_cycles)
@@ -236,6 +239,15 @@ class RefrintSimulator:
             tables=self._tables,
         )
         account = model.account_for(activity)
+        # The run's objects reference each other in cycles (pending queue
+        # and wheel callbacks are bound to cores and controllers, which hold
+        # the hierarchy; the protocol lists cores with pending runs).  Cut
+        # them so the whole run is freed on return, not at some later full
+        # garbage collection.
+        if wheel is not None:
+            wheel.clear()
+        events.clear()
+        hierarchy.protocol.dirty_cores.clear()
         return SimulationResult(
             config=self.config,
             application=application.name,
@@ -244,7 +256,9 @@ class RefrintSimulator:
             counters=hierarchy.counters.as_dict(),
             energy=account.breakdown(),
             per_core_finish_cycles=[
-                core.stats.finish_cycle or execution_cycles for core in cores
+                execution_cycles if core.stats.finish_cycle is None
+                else core.stats.finish_cycle
+                for core in cores
             ],
         )
 

@@ -133,14 +133,12 @@ class Core:
         # Bound-method caches for the per-reference dispatch.
         self._read = hierarchy.read
         self._write = hierarchy.write
-        # The trace unpacked into parallel field lists: the replay loop runs
-        # once per reference and a plain list index is several times cheaper
-        # than TraceStream.__getitem__ plus dataclass attribute and property
-        # lookups on every record.
+        # The trace unpacked into parallel field columns (built once per
+        # trace): the replay loop runs once per reference and a plain tuple
+        # index is several times cheaper than TraceStream.__getitem__ plus
+        # dataclass attribute and property lookups on every record.
         self._num_records = len(trace)
-        self._addresses = [record.address for record in trace]
-        self._is_write = [record.is_write for record in trace]
-        self._gaps = [record.gap_instructions for record in trace]
+        self._addresses, self._is_write, self._gaps = trace.columns()
         # Batched access path (run-ahead replay only; event replay passes
         # prepare_runs=False and never pays for it).  Block addresses are
         # precomputed so the same-line fast path is one list read and an

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 class MemoryOperation(enum.Enum):
@@ -61,6 +61,9 @@ class TraceStream:
     def __init__(self, records: Iterable[TraceRecord], thread_id: int = 0) -> None:
         self._records: List[TraceRecord] = list(records)
         self.thread_id = thread_id
+        self._columns: Optional[
+            Tuple[Tuple[int, ...], Tuple[bool, ...], Tuple[int, ...]]
+        ] = None
 
     def __len__(self) -> int:
         return len(self._records)
@@ -75,6 +78,21 @@ class TraceStream:
     def records(self) -> Sequence[TraceRecord]:
         """The underlying records (read-only view)."""
         return tuple(self._records)
+
+    def columns(self) -> Tuple[Tuple[int, ...], Tuple[bool, ...], Tuple[int, ...]]:
+        """``(addresses, is_write, gap_instructions)`` as parallel tuples.
+
+        Built on the first call and shared by every later caller (every run
+        replaying this trace).
+        """
+        if self._columns is None:
+            records = self._records
+            self._columns = (
+                tuple([record.address for record in records]),
+                tuple([record.is_write for record in records]),
+                tuple([record.gap_instructions for record in records]),
+            )
+        return self._columns
 
     def total_instructions(self) -> int:
         """Total instructions represented (memory ops plus gaps)."""

@@ -15,10 +15,11 @@ Two thin view classes, :class:`ArrayCacheLine` and
 :class:`ArrayDirectoryLine`, expose one line of the arrays through the
 exact :class:`~repro.mem.line.CacheLine` / ``DirectoryLine`` interface
 (they are subclasses, so ``isinstance`` checks and the inherited
-``fill`` / ``touch`` / ``mark_dirty`` state machines keep working).  Views
-are materialised once per line at cache construction and live as long as
-the cache, so holding one across mutations always reads live state; the
-staged fast path never touches them.
+``fill`` / ``touch`` / ``mark_dirty`` state machines keep working).  A
+view is materialised the first time its line is asked for
+(:class:`LazyViews`) and then lives as long as the cache, so holding one
+across mutations always reads live state; the staged fast path never
+touches them, and building a cache allocates no per-line object.
 
 Invariants: ``valid[i]`` and ``dirty[i]`` are derived caches of the state
 code (MESI for private caches, L3 state for directory caches) and are kept
@@ -84,9 +85,11 @@ class LineArrays:
 
     ``tag == -1``, ``refresh_count == -1`` and ``owner == -1`` encode the
     object model's ``None``.  Directory-only vectors (``l3_state``,
-    ``sharers``, ``owner``) are ``None`` for private caches (``sharers``
-    is always a plain list of Python sets; only the integer vectors have a
-    numpy form).
+    ``sharers``, ``owner``) are ``None`` for private caches.  ``sharers``
+    is always a plain list (only the integer vectors have a numpy form)
+    whose slots hold a Python set, or ``None`` for an empty sharer set not
+    yet asked for -- :attr:`ArrayDirectoryLine.sharers` creates the set on
+    first read.
 
     ``backing`` selects the vector representation: ``"list"`` (the default)
     keeps plain Python lists, whose single-element reads dominate the
@@ -148,11 +151,34 @@ class LineArrays:
             else:
                 self.l3_state: Optional[List[int]] = [0] * n
                 self.owner: Optional[List[int]] = [-1] * n
-            self.sharers: Optional[List[Set[int]]] = [set() for _ in range(n)]
+            self.sharers: Optional[List[Optional[Set[int]]]] = [None] * n
         else:
             self.l3_state = None
             self.sharers = None
             self.owner = None
+
+
+class LazyViews(dict):
+    """Line index -> persistent view, materialised on first lookup.
+
+    Array-backed caches index their views through this map instead of a
+    list built up front, so constructing a cache allocates no per-line
+    object.  A view, once built, stays in the map (holders keep seeing the
+    same object); readers must index it, never iterate it.
+    """
+
+    __slots__ = ("_arrays", "_view_cls")
+
+    def __init__(self, arrays: LineArrays, view_cls: type) -> None:
+        super().__init__()
+        self._arrays = arrays
+        self._view_cls = view_cls
+
+    def __missing__(self, index: int) -> CacheLine:
+        if not 0 <= index < self._arrays.num_lines:
+            raise IndexError(f"line index {index} out of range")
+        view = self[index] = self._view_cls(self._arrays, index)
+        return view
 
 
 class _ArrayLineFields:
@@ -294,7 +320,11 @@ class ArrayDirectoryLine(_ArrayLineFields, DirectoryLine):
 
     @property
     def sharers(self) -> Set[int]:
-        return self._arrays.sharers[self._index]
+        sharers = self._arrays.sharers
+        value = sharers[self._index]
+        if value is None:
+            value = sharers[self._index] = set()
+        return value
 
     @sharers.setter
     def sharers(self, value: Set[int]) -> None:

@@ -15,8 +15,10 @@ Two storage backends share this one class:
   :meth:`choose_victim_index`, :meth:`fill_index`, ...) works in plain line
   indices -- a lookup is a few list reads and integer compares, with no
   per-access object allocation.  Thin :class:`~repro.mem.arrays.ArrayCacheLine`
-  views (one per line, built once) keep the object interface alive for the
-  directory's sharer sets, the refresh policies and the tests.
+  views keep the object interface alive for the directory's sharer sets,
+  the refresh policies and the tests; each is built the first time its
+  line is asked for and then kept, so construction allocates per cache,
+  not per line.
 * ``backend="numpy"`` is the same layout on int64 ndarrays (requires
   numpy): the per-access staged API is shared, while the refresh-facing
   sweeps (:meth:`bulk_refresh_range`, :meth:`refresh_due_indices`,
@@ -34,6 +36,7 @@ backends; the staged API is what the protocol's hot path uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.config.parameters import CacheGeometry
@@ -41,6 +44,7 @@ from repro.mem.arrays import (
     HAVE_NUMPY,
     ArrayCacheLine,
     ArrayDirectoryLine,
+    LazyViews,
     LineArrays,
     last_occurrence_plan,
 )
@@ -52,6 +56,8 @@ else:  # pragma: no cover - exercised by the no-numpy CI leg
 from repro.mem.line import (
     CacheLine,
     DirectoryLine,
+    L3_DIRTY,
+    L3_STATES,
     MESI_CODES,
     MESI_MODIFIED,
     MESI_STATES,
@@ -148,10 +154,10 @@ class Cache:
                 directory=directory,
                 backing="numpy" if backend == "numpy" else "list",
             )
-            view_cls = ArrayDirectoryLine if directory else ArrayCacheLine
-            self._views: List[CacheLine] = [
-                view_cls(self.arrays, i) for i in range(geometry.num_lines)
-            ]
+            # Views are built on first use: indexing is the only way in.
+            self._views = LazyViews(
+                self.arrays, ArrayDirectoryLine if directory else ArrayCacheLine
+            )
             if backend == "numpy":
                 # The refresh sweeps become real array operations (masked
                 # compares + bulk timestamp rewrites); the per-access staged
@@ -183,6 +189,8 @@ class Cache:
             self.invalidate_index = self._invalidate_index_object
             self.state_code = self._state_code_object
             self.set_state_code = self._set_state_code_object
+            self.set_l3_state_code = self._set_l3_state_code_object
+            self.clear_owner_index = self._clear_owner_index_object
             self.valid_at = self._valid_at_object
             self.dirty_at = self._dirty_at_object
             self.bulk_refresh_range = self._bulk_refresh_range_object
@@ -483,6 +491,26 @@ class Cache:
         arrays.valid[index] = 1 if code else 0
         arrays.dirty[index] = 1 if code == MESI_MODIFIED else 0
 
+    def set_l3_state_code(self, index: int, code: int) -> None:
+        """Set the L3 state of a directory line by code."""
+        arrays = self.arrays
+        arrays.l3_state[index] = code
+        arrays.valid[index] = 1 if code else 0
+        arrays.dirty[index] = 1 if code == L3_DIRTY else 0
+
+    def clear_owner_index(self, index: int) -> None:
+        """Demote a directory line's owner, if any, to a plain sharer."""
+        arrays = self.arrays
+        owner = arrays.owner[index]
+        if owner < 0:
+            return
+        arrays.owner[index] = -1
+        sharers = arrays.sharers[index]
+        if sharers is None:
+            arrays.sharers[index] = {int(owner)}
+        else:
+            sharers.add(int(owner))
+
     def valid_at(self, index: int) -> bool:
         """True when the line at ``index`` holds usable data."""
         return bool(self.arrays.valid[index])
@@ -554,6 +582,15 @@ class Cache:
 
     def _set_state_code_object(self, index: int, code: int) -> None:
         self._views[index].state = MESI_STATES[code]
+
+    def _set_l3_state_code_object(self, index: int, code: int) -> None:
+        self._views[index].l3_state = L3_STATES[code]
+
+    def _clear_owner_index_object(self, index: int) -> None:
+        line = self._views[index]
+        if line.owner is not None:
+            line.sharers.add(line.owner)
+            line.owner = None
 
     def _valid_at_object(self, index: int) -> bool:
         return self._views[index].valid
@@ -638,8 +675,9 @@ class Cache:
     def iter_lines(self) -> Iterator[Tuple[int, CacheLine]]:
         """Yield (set index, line) for every line in the cache."""
         assoc = self._assoc
-        for index, line in enumerate(self._views):
-            yield index // assoc, line
+        views = self._views
+        for index in range(self.geometry.num_lines):
+            yield index // assoc, views[index]
 
     def refresh_group_line_range(self, group: int) -> Tuple[int, int]:
         """Contiguous ``[start, end)`` global line range of one refresh group.
@@ -670,9 +708,12 @@ class Cache:
 
     def valid_lines(self) -> Iterator[Tuple[int, CacheLine]]:
         """Yield (set index, line) for every valid line."""
-        for set_idx, line in self.iter_lines():
-            if line.valid:
-                yield set_idx, line
+        assoc = self._assoc
+        views = self._views
+        valid_at = self.valid_at
+        for index in range(self.geometry.num_lines):
+            if valid_at(index):
+                yield index // assoc, views[index]
 
     def count_valid(self) -> int:
         """Number of valid lines currently held."""
@@ -778,7 +819,8 @@ class Cache:
 
     def dirty_indices(self) -> List[int]:
         """Global indices of all dirty lines, in line order."""
-        return [i for i, dirty in enumerate(self.arrays.dirty) if dirty]
+        dirty = self.arrays.dirty
+        return list(compress(range(len(dirty)), dirty))
 
     # -- staged per-line refresh ticks (array backend only) ---------------------
     #

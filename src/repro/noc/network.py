@@ -12,7 +12,8 @@ hinge on queuing delay -- so a message's latency is simply
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from typing import Optional, Tuple
 
 from repro.noc.topology import TorusTopology
 from repro.utils.statistics import Counter
@@ -22,6 +23,16 @@ CONTROL_MESSAGE_BYTES = 8
 
 #: Flit width in bytes used to convert message size into hop energy units.
 FLIT_BYTES = 8
+
+
+@lru_cache(maxsize=None)
+def hop_table(topology: TorusTopology) -> Tuple[Tuple[int, ...], ...]:
+    """All-pairs hop distances, ``table[src][dst]``, built once per topology."""
+    vertices = range(topology.num_vertices)
+    return tuple(
+        tuple(topology.hop_distance(src, dst) for dst in vertices)
+        for src in vertices
+    )
 
 
 @dataclass(frozen=True)
@@ -64,11 +75,7 @@ class TorusNetwork:
         # The topology is static, so hop distances (and hence latencies) are
         # precomputed once; a message send is then two table reads and three
         # counter increments, with no per-message object.
-        vertices = range(topology.num_vertices)
-        self._hops = [
-            [topology.hop_distance(src, dst) for dst in vertices]
-            for src in vertices
-        ]
+        self._hops = hop_table(topology)
         self._cycles_per_hop = router_hop_cycles + link_hop_cycles
         self._control_flits = max(
             1, -(-CONTROL_MESSAGE_BYTES // FLIT_BYTES)

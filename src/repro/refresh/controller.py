@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.config.parameters import RefreshConfig, SimulationConfig, TimingPolicyKind
 from repro.hierarchy.hierarchy import CacheHierarchy
@@ -327,10 +327,18 @@ def build_refresh_controllers(
     # of many caches at once.
     wheel = RefreshWheel(event_queue)
     hierarchy.refresh_wheel = wheel
+    # The level configuration depends on the level and its line count
+    # only, so the instances of a level share one (frozen) copy.
+    level_configs: Dict[Tuple[str, int], RefreshConfig] = {}
     for level, instance, cache in hierarchy.all_caches():
         policy_level = "l1" if level in ("l1i", "l1d") else level
         policy = make_data_policy(refresh.data_policy_for_level(policy_level))
-        level_config = level_refresh_config(config, level, cache)
+        key = (level, cache.num_lines)
+        level_config = level_configs.get(key)
+        if level_config is None:
+            level_config = level_configs[key] = level_refresh_config(
+                config, level, cache
+            )
         if refresh.timing_policy is TimingPolicyKind.PERIODIC:
             controller: RefreshController = PeriodicRefreshController(
                 level, instance, cache, policy, level_config, hierarchy,

@@ -38,11 +38,25 @@ touched until a line is actually due.
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+from functools import lru_cache
+from typing import Any, Tuple
 
 from repro.refresh.controller import RefreshController
 from repro.refresh.policies import AllPolicy, PolicyAction
 from repro.refresh.sentry import SentryBit
+
+
+@lru_cache(maxsize=None)
+def sentry_groups(num_lines: int, group_size: int) -> Tuple[Tuple[int, int], ...]:
+    """``[start, end)`` line ranges of a cache's sentry groups, in order.
+
+    Shared by every controller (and run) over the same geometry, so arming
+    a cache's timers builds no per-group range objects.
+    """
+    return tuple(
+        (start, min(start + group_size, num_lines))
+        for start in range(0, num_lines, group_size)
+    )
 
 
 class RefrintRefreshController(RefreshController):
@@ -73,32 +87,26 @@ class RefrintRefreshController(RefreshController):
             ),
         )
         self._include_invalid = isinstance(self.policy, AllPolicy)
-        group_size = self.cache.geometry.sentry_group_size
-        num_lines = self.cache.num_lines
-        self.groups: List[Tuple[int, int]] = [
-            (start, min(start + group_size, num_lines))
-            for start in range(0, num_lines, group_size)
-        ]
+        self.groups = sentry_groups(
+            self.cache.num_lines, self.cache.geometry.sentry_group_size
+        )
         # The single-pass handler fuses the due scan, the refresh ticks and
         # the next-fire computation over the raw state vectors -- as masked
         # array operations on the numpy backend, as one int-compare loop on
         # the list backend; the object backend and plugged-in policies keep
         # the generic two-pass walk.
         if self._policy_kind == "custom" or self.cache.arrays is None:
-            self._handler = self._on_group_interrupt
+            handler = self._on_group_interrupt
         elif self.cache.numpy_backed:
-            self._handler = self._on_group_interrupt_vector
+            handler = self._on_group_interrupt_vector
         else:
-            self._handler = self._on_group_interrupt_fast
+            handler = self._on_group_interrupt_fast
         # An empty cache has nothing due before one full sentry retention.
-        wheel = self.wheel
-        slack = self._slack
-        probe = self._group_probe
         first = cycle + self._sentry_retention
-        for group in self.groups:
-            wheel.schedule(
-                first, first + slack, self._handler, payload=group, probe=probe
-            )
+        self.wheel.schedule_many(
+            first, first + self._slack, handler, self.groups,
+            probe=self._group_probe,
+        )
 
     # -- event handling --------------------------------------------------------
 

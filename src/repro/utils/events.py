@@ -367,3 +367,12 @@ class EventQueue:
     def empty(self) -> bool:
         """Return True when no live events remain."""
         return self._live == 0
+
+    def clear(self) -> None:
+        """Drop every pending event; the queue's clock is left as it is."""
+        for entry in self._heap:
+            if entry[4] is not None:
+                entry[4].queue = None
+        self._heap.clear()
+        self._live = 0
+        self._cancelled = 0

@@ -49,7 +49,7 @@ across cache backends and replay modes.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.utils.events import Event, EventQueue
 
@@ -136,6 +136,45 @@ class RefreshWheel:
             self._armed_time is None or deadline < self._armed_time
         ):
             self._arm(deadline)
+
+    def schedule_many(
+        self,
+        ready: int,
+        deadline: int,
+        callback: Callable[[int, Any], None],
+        payloads: Sequence[Any],
+        probe: Optional[Callable[[int, Any], Optional[int]]] = None,
+    ) -> None:
+        """:meth:`schedule` one timer per payload, all sharing one window.
+
+        Equivalent to calling :meth:`schedule` for each payload in order
+        (same bucket, same insertion order, same arming), in one call.
+        """
+        if not payloads:
+            return
+        if deadline < ready:
+            raise ValueError(f"deadline {deadline} precedes ready {ready}")
+        bucket = deadline // self.bucket_cycles
+        entries = self._buckets.get(bucket)
+        if entries is None:
+            entries = self._buckets[bucket] = []
+        entries.extend(
+            [(ready, deadline, callback, payload, probe) for payload in payloads]
+        )
+        self._len += len(payloads)
+        if not self._draining and (
+            self._armed_time is None or deadline < self._armed_time
+        ):
+            self._arm(deadline)
+
+    def clear(self) -> None:
+        """Drop every pending timer and cancel the armed queue event."""
+        if self._armed is not None:
+            self._armed.cancel()
+        self._armed = None
+        self._armed_time = None
+        self._buckets.clear()
+        self._len = 0
 
     def next_deadline(self) -> Optional[int]:
         """Earliest cycle by which some pending timer must be served."""

@@ -44,6 +44,12 @@ class TestTraceStream:
         assert stream.read_fraction() == pytest.approx(2 / 3)
         assert stream.footprint_bytes(64) == 2 * 64
 
+    def test_columns_are_built_once(self):
+        stream = self.make_stream()
+        columns = stream.columns()
+        assert columns == ((0x000, 0x040, 0x000), (False, True, False), (2, 1, 0))
+        assert stream.columns() is columns
+
     def test_empty_stream(self):
         stream = TraceStream([])
         assert len(stream) == 0

@@ -10,6 +10,11 @@ ints.  Two independent checks pin that down:
 * a GC-churn bound: with the gen-0 threshold squeezed, a hundred thousand
   staged accesses must not trigger collections (ints are untracked; one
   tracked container per access would force thousands of gen-0 passes).
+
+The same holds one level up: building a hierarchy allocates per cache, not
+per line (line views and sharer sets are materialised on first use), the
+protocol's L3 miss / eviction / end-of-run flush path stays on line
+indices, and a finished run leaves no cyclic garbage behind.
 """
 
 from __future__ import annotations
@@ -18,10 +23,19 @@ import gc
 
 import pytest
 
-from repro.config.parameters import CacheGeometry
+from repro.config.parameters import (
+    CacheGeometry,
+    DataPolicySpec,
+    SimulationConfig,
+    TimingPolicyKind,
+)
+from repro.config.presets import scaled_architecture
+from repro.core.simulator import RefrintSimulator
+from repro.hierarchy.hierarchy import CacheHierarchy
 from repro.mem import cache as cache_module
 from repro.mem.cache import Cache
 from repro.mem.line import MESI_MODIFIED, MESI_SHARED
+from tests.conftest import make_tiny_architecture
 
 
 def geometry() -> CacheGeometry:
@@ -60,6 +74,90 @@ def test_staged_path_builds_no_result_objects(no_result_objects):
         assert cache.dirty_at(index)
     cache.invalidate_index(cache.probe_index(0))
     assert cache.probe_index(0) == -1
+
+
+def test_l3_miss_and_eviction_path_builds_no_result_objects(no_result_objects):
+    hierarchy = CacheHierarchy(make_tiny_architecture())
+    # Far more blocks than the tiny L3 bank holds, read and written by
+    # several cores: L3 misses, clean and dirty L3 evictions with
+    # back-invalidation, L2 evictions; then a few blocks shared by several
+    # cores: owner recalls and coherence invalidations.
+    for i in range(4096):
+        core = i % 5
+        address = 0x10000 + (i % 1024) * 64 * 16  # all homed on bank 0
+        if i % 3 == 0:
+            hierarchy.write(core, address, cycle=i * 10)
+        else:
+            hierarchy.read(core, address, cycle=i * 10)
+    for i in range(64):
+        address = 0x900000 + (i % 4) * 64
+        if i % 3 == 0:
+            hierarchy.write(i % 4, address, cycle=50_000 + i * 10)
+        else:
+            hierarchy.read(i % 5, address, cycle=50_000 + i * 10)
+    hierarchy.flush_dirty(cycle=60_000)
+    counters = hierarchy.counters
+    assert counters["l3_misses"] > 0
+    assert counters["l3_evictions"] > 0
+    assert counters["l3_eviction_writebacks"] > 0
+    assert counters["back_invalidations"] > 0
+    assert counters["coherence_invalidations"] > 0
+    assert counters["msg_owner_fetch"] > 0
+    assert hierarchy.dirty_lines() == {"l1i": 0, "l1d": 0, "l2": 0, "l3": 0}
+    # Private caches are reached through line indices only.
+    for caches in hierarchy.cores:
+        for cache in (caches.l1i, caches.l1d, caches.l2):
+            assert len(cache._views) == 0, cache.name
+
+
+def test_hierarchy_construction_allocates_per_cache_not_per_line():
+    architecture = scaled_architecture()
+    CacheHierarchy(architecture)  # warm imports and interned state
+    gc.collect()
+    before = len(gc.get_objects())
+    hierarchy = CacheHierarchy(architecture)
+    after = len(gc.get_objects())
+    caches = [cache for _, _, cache in hierarchy.all_caches()]
+    lines = sum(cache.num_lines for cache in caches)
+    assert all(len(cache._views) == 0 for cache in caches)
+    assert all(
+        cache.arrays.sharers.count(None) == cache.num_lines
+        for cache in caches
+        if cache.directory
+    )
+    # A small constant per cache (the cache, its vectors, its view map);
+    # one view or sharer set per line would add tens of thousands.
+    assert after - before <= 20 * len(caches) + 100 < lines
+
+
+@pytest.mark.parametrize("replay", ["runahead", "event"])
+@pytest.mark.parametrize(
+    "config",
+    [
+        SimulationConfig.sram(scaled_architecture()),
+        SimulationConfig.scaled(50.0, TimingPolicyKind.PERIODIC),
+        SimulationConfig.scaled(
+            50.0, TimingPolicyKind.REFRINT, DataPolicySpec.writeback(4, 4)
+        ),
+    ],
+    ids=["sram", "periodic-valid", "refrint-wb"],
+)
+def test_finished_run_leaves_no_cyclic_garbage(config, replay):
+    from repro.workloads.suite import build_application
+
+    workload = build_application("fft", config.architecture, length_scale=0.02)
+    simulator = RefrintSimulator(config, replay=replay)
+    simulator.run(workload)
+    gc.collect()
+    gc.disable()
+    try:
+        simulator.run(workload)
+        # Everything the run built was freed by reference counting; a
+        # cycle left behind would keep the whole hierarchy (every cache's
+        # state vectors) alive until a full collection.
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_staged_hits_cause_no_gc_churn():

@@ -6,9 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.coherence.directory import Directory
 from repro.config.parameters import CacheGeometry
+from repro.mem.arrays import HAVE_NUMPY
 from repro.mem.cache import Cache
-from repro.mem.line import DirectoryLine, MESIState
+from repro.mem.line import (
+    L3_CLEAN,
+    L3_DIRTY,
+    MESI_MODIFIED,
+    MESI_SHARED,
+    DirectoryLine,
+    L3State,
+    MESIState,
+)
 
 
 def small_geometry(**overrides) -> CacheGeometry:
@@ -163,6 +173,82 @@ class TestDirectoryLineFactory:
         cache = Cache(small_geometry(), line_factory=DirectoryLine)
         line = cache.fill(0x40, MESIState.SHARED, cycle=0)
         assert isinstance(line, DirectoryLine)
+
+
+BACKENDS = [
+    "array",
+    pytest.param(
+        "numpy", marks=pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
+    ),
+    "object",
+]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestLazyLineState:
+    """Views and sharer sets are built on first use; that must not show."""
+
+    def test_view_is_persistent(self, backend):
+        cache = Cache(small_geometry(), backend=backend)
+        last = cache.num_lines - 1
+        first = cache.view(last)
+        assert cache.view(last) is first
+        cache.fill_block(0x1000, MESI_SHARED, cycle=0)
+        assert cache.view(last) is first
+        with pytest.raises(IndexError):
+            cache.view(cache.num_lines)
+
+    def test_late_view_reflects_index_writes_and_writes_through(self, backend):
+        cache = Cache(small_geometry(), backend=backend)
+        index = cache.fill_block(0x1000, MESI_SHARED, cycle=7)
+        cache.set_state_code(index, MESI_MODIFIED)
+        if cache.arrays is not None:
+            assert index not in cache._views
+        line = cache.view(index)
+        assert line.valid and line.dirty
+        assert line.state is MESIState.MODIFIED
+        assert line.last_refresh_cycle == 7
+        assert cache.block_address_of(cache.set_of_index(index), line) == 0x1000
+
+        line.state = MESIState.SHARED
+        line.refresh(40)
+        assert cache.state_code(index) == MESI_SHARED
+        assert not cache.dirty_at(index)
+        assert cache.min_last_refresh(index, index + 1, True) == 40
+        line.invalidate()
+        assert cache.probe_index(0x1000) == -1
+        assert cache.count_valid() == 0
+
+    def test_never_filled_l3_line_has_empty_sharers(self, backend):
+        cache = Cache(small_geometry(), backend=backend, directory=True)
+        line = cache.view(3)
+        assert line.sharers == set()
+        assert line.owner is None
+        # Written without having been read first.
+        assert Directory.record_reader(cache.view(4), core=2)
+        assert cache.view(4).sharers == {2}
+        assert cache.view(4).owner == 2
+        Directory.record_reader(line, core=5)
+        assert cache.view(3).sharers == {5}
+        if cache.arrays is not None:
+            assert cache.arrays.sharers[3] == {5}
+            assert cache.arrays.sharers[0] is None
+
+    def test_index_directory_updates_match_line_semantics(self, backend):
+        cache = Cache(small_geometry(), backend=backend, directory=True)
+        index = cache.fill_block(0x40, MESI_SHARED, cycle=0)
+        cache.clear_owner_index(index)  # no owner: nothing to demote
+        assert cache.view(index).sharers == set()
+        Directory.record_writer(cache.view(index), core=6)
+        cache.set_l3_state_code(index, L3_DIRTY)
+        cache.clear_owner_index(index)
+        line = cache.view(index)
+        assert line.owner is None and line.sharers == {6}
+        assert line.l3_state is L3State.DIRTY and cache.dirty_at(index)
+        assert cache.dirty_indices() == [index]
+        cache.set_l3_state_code(index, L3_CLEAN)
+        assert line.l3_state is L3State.CLEAN and line.valid
+        assert cache.dirty_indices() == []
 
 
 # ---------------------------------------------------------------------------

@@ -192,7 +192,11 @@ class TestSubclassedPolicies:
             hierarchy, events,
         )
         controller.start(0)
-        assert controller._handler == controller._on_group_interrupt
+        armed = {
+            entry[2] for entries in controller.wheel._buckets.values()
+            for entry in entries
+        }
+        assert armed == {controller._on_group_interrupt}
 
 
 class TestRefrintController:

@@ -175,3 +175,33 @@ class TestResultSerialisation:
         assert data["memory_energy_j"] == pytest.approx(result.memory_energy())
         assert data["execution_cycles"] == result.execution_cycles
         assert isinstance(data["counters"], dict)
+
+
+class TestEmptyThread:
+    """A core whose trace is empty finishes at cycle 0, not at the run's end."""
+
+    @pytest.mark.parametrize("replay", ["event", "runahead"])
+    def test_empty_thread_finishes_at_cycle_zero(self, replay):
+        from dataclasses import replace
+
+        from repro.config.presets import scaled_architecture
+        from repro.cpu.trace import TraceStream
+        from repro.validate.invariants import check_result
+
+        arch = scaled_architecture()
+        workload = build_application("fft", arch, length_scale=0.02)
+        traces = list(workload.traces)
+        traces[3] = TraceStream([], thread_id=3)
+        workload = replace(workload, traces=tuple(traces))
+        config = edram(
+            arch, TimingPolicyKind.REFRINT, DataPolicySpec.valid(), retention=1562
+        )
+        simulator = RefrintSimulator(config, replay=replay)
+        result = simulator.run(workload)
+
+        assert result.per_core_finish_cycles[3] == 0
+        assert result.execution_cycles == max(result.per_core_finish_cycles) > 0
+        validation = check_result(
+            result, replay_stats=simulator.last_replay_stats
+        )
+        assert validation.ok, validation.violations()

@@ -206,3 +206,20 @@ def test_heap_compacts_when_cancelled_entries_dominate():
     queue.schedule(5, lambda t, p: fired.append(t))
     queue.run()
     assert fired == [5]
+
+
+def test_clear_drops_pending_events_and_keeps_the_clock():
+    queue = EventQueue()
+    fired = []
+    queue.schedule(10, lambda t, p: fired.append(t))
+    queue.run()
+    event = queue.schedule(30, lambda t, p: fired.append(t))
+    queue.schedule_callback(40, lambda t, p: fired.append(t))
+    queue.clear()
+    assert len(queue) == 0 and queue.empty()
+    assert queue.now == 10
+    event.cancel()  # a detached event no longer touches the queue
+    assert len(queue) == 0
+    queue.schedule(50, lambda t, p: fired.append(t))
+    queue.run()
+    assert fired == [10, 50]

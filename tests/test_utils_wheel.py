@@ -64,6 +64,41 @@ class TestBatching:
         assert executed == 1  # one drain serves all three timers
         assert fired == ["a", "b", "c"]
 
+    def test_schedule_many_matches_one_call_per_payload(self):
+        def run(bulk):
+            queue = EventQueue()
+            wheel = RefreshWheel(queue, bucket_cycles=16)
+            fired = []
+            wheel.schedule(50, 50, lambda t, p: fired.append((t, p)), payload="x")
+            callback = lambda t, p: fired.append((t, p))  # noqa: E731
+            if bulk:
+                wheel.schedule_many(30, 40, callback, ("a", "b", "c"))
+                wheel.schedule_many(30, 40, callback, ())
+            else:
+                for label in ("a", "b", "c"):
+                    wheel.schedule(30, 40, callback, payload=label)
+            assert len(wheel) == 4 and wheel.next_deadline() == 40
+            executed = queue.run()
+            return executed, fired
+
+        assert run(bulk=True) == run(bulk=False) == (
+            2, [(40, "a"), (40, "b"), (40, "c"), (50, "x")]
+        )
+        with pytest.raises(ValueError):
+            RefreshWheel(EventQueue()).schedule_many(10, 9, print, ("a",))
+
+    def test_clear_drops_timers_and_the_armed_event(self, queue):
+        wheel = RefreshWheel(queue, bucket_cycles=16)
+        fired = []
+        wheel.schedule(40, 40, lambda t, p: fired.append(p), payload="a")
+        wheel.schedule(90, 90, lambda t, p: fired.append(p), payload="b")
+        wheel.clear()
+        assert len(wheel) == 0 and wheel.next_deadline() is None
+        assert queue.run() == 0
+        wheel.schedule(60, 60, lambda t, p: fired.append(p), payload="c")
+        queue.run()
+        assert fired == ["c"]
+
     def test_lazy_timers_ride_along_with_an_exact_one(self, queue):
         wheel = RefreshWheel(queue, bucket_cycles=64)
         fired = []
