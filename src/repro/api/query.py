@@ -31,11 +31,10 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.campaign.jobs import Job
+from repro.campaign.jobs import Job, enumerate_jobs
 from repro.config.parameters import (
     ArchitectureConfig,
     DataPolicySpec,
-    SimulationConfig,
     TimingPolicyKind,
 )
 from repro.config.presets import scaled_architecture
@@ -404,35 +403,24 @@ class QueryRequest:
         the answering layers see).
 
         Per application: the full-SRAM baseline (when ``include_baseline``),
-        then every grid point in retention x timing x data order -- the same
-        enumeration order as a campaign, so a query and a sweep of the same
-        grid produce identical job hashes and share the store.
+        then every grid point in retention x timing x data order.  The jobs
+        come from the campaign's own :func:`enumerate_jobs`, so a query and
+        a sweep of the same grid produce identical job hashes and share the
+        store by construction.
         """
         arch = architecture if architecture is not None else scaled_architecture()
         points = self.policy_points()
-        baseline_config = SimulationConfig.sram(arch)
+        jobs = enumerate_jobs(self.workload_requests(), points, arch)
+        stride = len(points) + 1
         query_points: List[QueryPoint] = []
-        for request in self.workload_requests():
+        for start in range(0, len(jobs), stride):
+            baseline = jobs[start]
             if self.include_baseline:
-                query_points.append(
-                    QueryPoint(
-                        application=request.name,
-                        point=None,
-                        job=Job(workload=request, config=baseline_config),
-                    )
-                )
-            for point in points:
-                query_points.append(
-                    QueryPoint(
-                        application=request.name,
-                        point=point,
-                        job=Job(
-                            workload=request,
-                            config=point.simulation_config(arch),
-                            point_label=point.label,
-                        ),
-                    )
-                )
+                query_points.append(QueryPoint(baseline.application, None, baseline))
+            query_points.extend(
+                QueryPoint(job.application, point, job)
+                for point, job in zip(points, jobs[start + 1 : start + stride])
+            )
         return NormalisedQuery(
             request=self, architecture=arch, points=query_points,
             policy_points=points,

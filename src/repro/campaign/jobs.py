@@ -52,6 +52,22 @@ def canonical_value(obj: object) -> object:
     raise TypeError(f"cannot canonicalise {type(obj).__name__} for hashing")
 
 
+def canonical_json(obj: object) -> str:
+    """Compact sorted-key JSON text of ``canonical_value(obj)``.
+
+    ``obj`` is a frozen dataclass instance.  The text is built once and kept
+    on that very object (in its ``__dict__``, which the frozen setattr guard
+    does not cover), so every job sharing one config canonicalises it once.
+    The cache is per object, never per value: dataclass equality treats
+    ``1 == 1.0`` and ``0.0 == -0.0``, whose JSON differs.
+    """
+    text = obj.__dict__.get("_canonical_json")
+    if text is None:
+        text = json.dumps(canonical_value(obj), sort_keys=True, separators=(",", ":"))
+        obj.__dict__["_canonical_json"] = text
+    return text
+
+
 @dataclass(frozen=True)
 class Job:
     """One content-addressed simulation of a campaign.
@@ -111,10 +127,17 @@ class Job:
 
     @cached_property
     def _digest(self) -> str:
-        # Memoised: the job is frozen, and canonicalising the nested config
-        # is the expensive part (cached_property writes straight into
-        # __dict__, bypassing the frozen-dataclass setattr guard).
-        return hash_payload_digest(self.hash_payload())
+        # Memoised (cached_property writes straight into __dict__, bypassing
+        # the frozen-dataclass setattr guard).  The blob is the JSON dump of
+        # hash_payload() spelled out in sorted-key order, assembled from the
+        # per-object canonical text of the config and workload so jobs that
+        # share a config canonicalise it once.
+        blob = '{"config":%s,"trace_generator":%s,"workload":%s}' % (
+            canonical_json(self.config),
+            json.dumps(TRACE_GENERATOR_PROVENANCE),
+            canonical_json(self.workload),
+        )
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def hash_payload_digest(payload: dict) -> str:
@@ -135,14 +158,13 @@ def enumerate_jobs(
     """
     jobs: List[Job] = []
     baseline_config = SimulationConfig.sram(architecture)
+    # One config object per point, shared by every application's job, so
+    # its canonical hash text is built once (see canonical_json).
+    point_configs = [
+        (point.label, point.simulation_config(architecture)) for point in points
+    ]
     for request in requests:
         jobs.append(Job(workload=request, config=baseline_config))
-        for point in points:
-            jobs.append(
-                Job(
-                    workload=request,
-                    config=point.simulation_config(architecture),
-                    point_label=point.label,
-                )
-            )
+        for label, config in point_configs:
+            jobs.append(Job(workload=request, config=config, point_label=label))
     return jobs

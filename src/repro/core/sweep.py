@@ -10,6 +10,7 @@ figures of Chapter 6 are produced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config.parameters import (
@@ -40,12 +41,14 @@ class PolicyPoint:
     timing_policy: TimingPolicyKind
     data_policy: DataPolicySpec
 
-    @property
+    # The labels are cached_property: the point is frozen, and rendering a
+    # report asks for the same few dozen labels thousands of times.
+    @cached_property
     def policy_label(self) -> str:
         """Label within one retention group, e.g. ``R.WB(32,32)``."""
         return f"{self.timing_policy.short_name}.{self.data_policy.label}"
 
-    @property
+    @cached_property
     def label(self) -> str:
         """Fully qualified label, e.g. ``50us/R.WB(32,32)``.
 

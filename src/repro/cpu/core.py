@@ -44,10 +44,9 @@ from repro.coherence.runbuffer import RunBuffer, merge_extend
 from repro.mem.line import MESI_EXCLUSIVE, MESI_MODIFIED, MESI_SHARED
 from repro.utils.events import EventQueue
 
-try:  # numpy is optional; the batch kernel requires it (resolve_kernel gates).
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
+# numpy is optional: only a core built with a batch kernel uses it
+# (resolve_kernel gates).
+from repro.utils.optional import import_numpy
 
 #: Number of instructions represented by one real instruction-fetch access.
 DEFAULT_IFETCH_INTERVAL = 16
@@ -216,14 +215,15 @@ class Core:
         if kernel != "off" and prepare_runs:
             from repro.kernels import scanner_for
 
+            np = import_numpy()
             self._scan = scanner_for(kernel)
             count = self._num_records
-            self._blocks_np = _np.array(
+            self._blocks_np = np.array(
                 self._blocks if self._blocks is not None else [],
-                dtype=_np.int64,
+                dtype=np.int64,
             )
-            self._write_np = _np.array(self._is_write, dtype=_np.int64)
-            gaps_next = _np.zeros(count, dtype=_np.int64)
+            self._write_np = np.array(self._is_write, dtype=np.int64)
+            gaps_next = np.zeros(count, dtype=np.int64)
             if count > 1:
                 gaps_next[: count - 1] = self._gaps[1:]
             self._gaps_next_np = gaps_next
@@ -238,8 +238,8 @@ class Core:
                 and code_region_bytes >= self._line_bytes
             )
             self._nslots = max(1, code_region_bytes // self._line_bytes)
-            self._code_idx = _np.empty(self._nslots, dtype=_np.int64)
-            empty = _np.empty(0, dtype=_np.int64)
+            self._code_idx = np.empty(self._nslots, dtype=np.int64)
+            empty = np.empty(0, dtype=np.int64)
             self._map_blocks = empty
             self._map_l1d = empty
             self._map_l2 = empty
@@ -537,9 +537,7 @@ class Core:
                         way = self._cb_l1d
                         map_l1d = self._map_l1d
                         map_l1d[map_l1d == way] = -1
-                        pos = int(
-                            _np.searchsorted(self._map_blocks, block)
-                        )
+                        pos = int(self._map_blocks.searchsorted(block))
                         if (
                             pos < self._map_blocks.size
                             and int(self._map_blocks[pos]) == block
@@ -803,11 +801,12 @@ class Core:
         probe_d = self._l1d.probe_index
         probe_2 = self._l2.probe_index
         state = self._l2.state_code
-        blocks_u = _np.unique(self._blocks_np[index : index + window])
+        np = import_numpy()
+        blocks_u = np.unique(self._blocks_np[index : index + window])
         m = blocks_u.size
-        map_l1d = _np.empty(m, dtype=_np.int64)
-        map_l2 = _np.empty(m, dtype=_np.int64)
-        map_wok = _np.empty(m, dtype=_np.int64)
+        map_l1d = np.empty(m, dtype=np.int64)
+        map_l2 = np.empty(m, dtype=np.int64)
+        map_wok = np.empty(m, dtype=np.int64)
         for t, block in enumerate(blocks_u.tolist()):
             map_l1d[t] = probe_d(block)
             l2_index = probe_2(block)
@@ -860,7 +859,7 @@ class Core:
                 return False
         return True
 
-    def _code_slots(self, cycle: int) -> "_np.ndarray":
+    def _code_slots(self, cycle: int):
         """Per-slot L1I line indices for the scan's crossing checks.
 
         ``-1`` marks a slot the kernel must not promise: the code line is

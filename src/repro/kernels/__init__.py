@@ -38,14 +38,7 @@ Every mode produces byte-identical :class:`SimulationResult`s (pinned by
 from __future__ import annotations
 
 from repro.config.parameters import KERNEL_MODES
-from repro.mem.arrays import HAVE_NUMPY
-
-try:  # pragma: no cover - exercised on CI where numba is pinned
-    import numba  # noqa: F401
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - the local/no-numba environment
-    HAVE_NUMBA = False
+from repro.utils.optional import HAVE_NUMPY
 
 
 def resolve_kernel(kernel: str) -> str:

@@ -32,14 +32,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Set
 
-try:  # numpy is an optional accelerator, never a hard dependency.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
-
-#: True when the optional numpy backing (``backing="numpy"``) is available.
-HAVE_NUMPY = _np is not None
-
 from repro.mem.line import (
     CacheLine,
     DirectoryLine,
@@ -52,6 +44,10 @@ from repro.mem.line import (
     MESIState,
     L3State,
 )
+
+# HAVE_NUMPY says whether ``backing="numpy"`` is available; numpy itself
+# loads when the first numpy-backed vectors are built.
+from repro.utils.optional import HAVE_NUMPY, import_numpy
 
 
 def last_occurrence_plan(indices, cycles, counts, tick):
@@ -69,13 +65,14 @@ def last_occurrence_plan(indices, cycles, counts, tick):
     Requires numpy (the caller gates on :data:`HAVE_NUMPY` by only binding
     the bulk landing on the numpy backend).
     """
-    idx = _np.asarray(indices, dtype=_np.int64)
-    cyc = _np.asarray(cycles, dtype=_np.int64)
-    stamps = tick + _np.cumsum(_np.asarray(counts, dtype=_np.int64))
+    np = import_numpy()
+    idx = np.asarray(indices, dtype=np.int64)
+    cyc = np.asarray(cycles, dtype=np.int64)
+    stamps = tick + np.cumsum(np.asarray(counts, dtype=np.int64))
     new_tick = int(stamps[-1])
     # np.unique on the reversed indices keeps each value's first position
     # there, i.e. its last occurrence in program order.
-    _, first_rev = _np.unique(idx[::-1], return_index=True)
+    _, first_rev = np.unique(idx[::-1], return_index=True)
     keep = idx.size - 1 - first_rev
     return idx[keep], cyc[keep], stamps[keep], new_tick
 
@@ -117,7 +114,7 @@ class LineArrays:
             raise ValueError("a cache needs at least one line")
         if backing not in ("list", "numpy"):
             raise ValueError(f"unknown array backing {backing!r}")
-        if backing == "numpy" and _np is None:
+        if backing == "numpy" and not HAVE_NUMPY:
             raise RuntimeError(
                 "backing='numpy' requested but numpy is not installed; "
                 "use the default list backing instead"
@@ -127,14 +124,15 @@ class LineArrays:
         self.directory = directory
         self.backing = backing
         if backing == "numpy":
-            self.tag = _np.full(n, -1, dtype=_np.int64)
-            self.state = _np.zeros(n, dtype=_np.int64)
-            self.valid = _np.zeros(n, dtype=_np.int64)
-            self.dirty = _np.zeros(n, dtype=_np.int64)
-            self.last_access_cycle = _np.zeros(n, dtype=_np.int64)
-            self.last_refresh_cycle = _np.zeros(n, dtype=_np.int64)
-            self.refresh_count = _np.full(n, -1, dtype=_np.int64)
-            self.lru_stamp = _np.zeros(n, dtype=_np.int64)
+            np = import_numpy()
+            self.tag = np.full(n, -1, dtype=np.int64)
+            self.state = np.zeros(n, dtype=np.int64)
+            self.valid = np.zeros(n, dtype=np.int64)
+            self.dirty = np.zeros(n, dtype=np.int64)
+            self.last_access_cycle = np.zeros(n, dtype=np.int64)
+            self.last_refresh_cycle = np.zeros(n, dtype=np.int64)
+            self.refresh_count = np.full(n, -1, dtype=np.int64)
+            self.lru_stamp = np.zeros(n, dtype=np.int64)
         else:
             self.tag: List[int] = [-1] * n
             self.state: List[int] = [0] * n
@@ -146,8 +144,8 @@ class LineArrays:
             self.lru_stamp: List[int] = [0] * n
         if directory:
             if backing == "numpy":
-                self.l3_state = _np.zeros(n, dtype=_np.int64)
-                self.owner = _np.full(n, -1, dtype=_np.int64)
+                self.l3_state = np.zeros(n, dtype=np.int64)
+                self.owner = np.full(n, -1, dtype=np.int64)
             else:
                 self.l3_state: Optional[List[int]] = [0] * n
                 self.owner: Optional[List[int]] = [-1] * n

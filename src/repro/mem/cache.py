@@ -41,18 +41,12 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.config.parameters import CacheGeometry
 from repro.mem.arrays import (
-    HAVE_NUMPY,
     ArrayCacheLine,
     ArrayDirectoryLine,
     LazyViews,
     LineArrays,
     last_occurrence_plan,
 )
-
-if HAVE_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
 from repro.mem.line import (
     CacheLine,
     DirectoryLine,
@@ -63,6 +57,7 @@ from repro.mem.line import (
     MESI_STATES,
     MESIState,
 )
+from repro.utils.optional import import_numpy
 
 
 @dataclass(frozen=True)
@@ -909,7 +904,7 @@ class Cache:
         due = arrays.last_refresh_cycle[start:end] <= cutoff
         if not include_invalid:
             due &= arrays.valid[start:end] == 1
-        return [int(i) + start for i in _np.nonzero(due)[0]]
+        return [int(i) + start for i in due.nonzero()[0]]
 
     def _min_last_refresh_numpy(
         self, start: int, end: int, include_invalid: bool
@@ -925,7 +920,7 @@ class Cache:
 
     def _valid_indices_in_range_numpy(self, start: int, end: int) -> List[int]:
         valid = self.arrays.valid[start:end] == 1
-        return [int(i) + start for i in _np.nonzero(valid)[0]]
+        return [int(i) + start for i in valid.nonzero()[0]]
 
     def _stamp_invalid_range_numpy(self, start: int, end: int, cycle: int) -> None:
         arrays = self.arrays
@@ -933,7 +928,7 @@ class Cache:
         arrays.last_refresh_cycle[start:end][invalid] = cycle
 
     def _dirty_indices_numpy(self) -> List[int]:
-        return [int(i) for i in _np.nonzero(self.arrays.dirty)[0]]
+        return [int(i) for i in self.arrays.dirty.nonzero()[0]]
 
     def sentry_scan_range(
         self,
@@ -982,8 +977,9 @@ class Cache:
         else:  # wb
             counts = arrays.refresh_count[start:end]
             dirty = arrays.dirty[start:end] == 1
-            seeded = _np.where(
-                counts < 0, _np.where(dirty, dirty_budget, clean_budget), counts
+            np = import_numpy()
+            seeded = np.where(
+                counts < 0, np.where(dirty, dirty_budget, clean_budget), counts
             )
             take = due & (seeded >= 1)
             slow_mask = due & ~take
@@ -993,7 +989,7 @@ class Cache:
             counts[take] = seeded[take] - 1
         stamps[take] = cycle
         if slow_mask.any():
-            slow = [int(i) + start for i in _np.nonzero(slow_mask)[0]]
+            slow = [int(i) + start for i in slow_mask.nonzero()[0]]
         considered = valid & ~due
         min_not_due = int(stamps[considered].min()) if considered.any() else None
         return refreshed, violations, slow, min_not_due

@@ -38,10 +38,7 @@ import random
 from dataclasses import dataclass
 from typing import List
 
-try:  # numpy vectorises generation; the scalar fallback needs nothing.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    np = None
+from repro.utils.optional import HAVE_NUMPY, import_numpy
 
 #: Which trace generator this environment runs: the vectorised PCG64 path
 #: ("numpy") or the scalar Mersenne-Twister fallback ("scalar").  Both are
@@ -49,7 +46,7 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
 #: streams, so anything keyed by a workload recipe -- campaign job hashes,
 #: persistent result stores -- must carry this tag to keep results from the
 #: two environments apart.
-TRACE_GENERATOR_PROVENANCE = "numpy" if np is not None else "scalar"
+TRACE_GENERATOR_PROVENANCE = "numpy" if HAVE_NUMPY else "scalar"
 
 from repro.cpu.trace import MemoryOperation, TraceRecord, TraceStream
 
@@ -180,8 +177,9 @@ class SyntheticTraceGenerator:
         count = params.references_per_thread
         if count == 0:
             return TraceStream([], thread_id=thread_id)
-        if np is None:
+        if not HAVE_NUMPY:
             return self._generate_thread_scalar(thread_id, count)
+        np = import_numpy()
         rng = np.random.default_rng((params.seed, thread_id))
 
         addresses = self._draw_addresses(rng, thread_id, count)
@@ -200,10 +198,9 @@ class SyntheticTraceGenerator:
 
     # -- address stream construction -------------------------------------------
 
-    def _draw_addresses(
-        self, rng: np.random.Generator, thread_id: int, count: int
-    ) -> np.ndarray:
+    def _draw_addresses(self, rng, thread_id: int, count: int):
         """Vectorised construction of the thread's address stream."""
+        np = import_numpy()
         params = self.parameters
 
         hot_base = HOT_REGION_BASE + thread_id * params.hot_footprint_bytes

@@ -164,11 +164,19 @@ class TestNormalisation:
             ("lu", "100us/R.WB(32,32)"),
         ]
         assert all(p.is_baseline == (p.point is None) for p in normalised.points)
+        for p in normalised.points:
+            assert p.job.application == p.application
+            assert p.job.point_label == (None if p.point is None else p.point.label)
 
     def test_no_baseline_when_excluded(self):
-        request = QueryRequest(applications="fft", include_baseline=False)
+        request = QueryRequest(applications=("fft", "lu"), include_baseline=False)
         normalised = request.normalise()
         assert all(not p.is_baseline for p in normalised.points)
+        per_app = len(normalised.policy_points)
+        applications = [p.application for p in normalised.points]
+        assert applications == ["fft"] * per_app + ["lu"] * per_app
+        for p in normalised.points:
+            assert p.job.point_label == p.point.label
 
     def test_job_hashes_match_campaign_enumeration(self):
         # The acceptance criterion behind memoisation: a query and a CLI

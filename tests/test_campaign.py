@@ -9,7 +9,12 @@ import pytest
 
 from repro.campaign.engine import CampaignStats, make_executor, run_campaign
 from repro.campaign.executors import ParallelExecutor, SerialExecutor, execute_job
-from repro.campaign.jobs import Job, canonical_value, enumerate_jobs
+from repro.campaign.jobs import (
+    Job,
+    canonical_value,
+    enumerate_jobs,
+    hash_payload_digest,
+)
 from repro.campaign.store import ResultStore
 from repro.config.parameters import DataPolicySpec, SimulationConfig, TimingPolicyKind
 from repro.config.presets import scaled_architecture
@@ -21,7 +26,8 @@ from repro.core.sweep import (
 )
 from repro.core.results import SimulationResult
 from repro.experiments.runner import ExperimentRunner, ExperimentScale
-from repro.workloads.suite import WorkloadRequest, build_suite
+from repro.workloads.suite import APPLICATION_NAMES, WorkloadRequest, build_suite
+from repro.workloads.synthetic import TRACE_GENERATOR_PROVENANCE
 
 #: A deliberately tiny grid so every test in this module runs in seconds.
 POINTS = [
@@ -81,6 +87,63 @@ class TestJobs:
     def test_canonical_value_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             canonical_value(object())
+
+
+#: Keys of fft (length scale 0.02, seed 5, scaled architecture), per trace
+#: generator, as hashing the whole canonical payload in one json.dumps gave
+#: them.  Stored campaigns are filed under these: they must never move.
+PINNED_KEYS = {
+    "numpy": {
+        None: "abd7a3ccd7542101c8ffdead92b0c697eb3f4d10edecf00c1432ce97baef9a23",
+        "50us/R.WB(32,32)": (
+            "f5ca7e9e7e39b0eb48375783469059578faecb8cc007387da88045160e0526d7"
+        ),
+    },
+    "scalar": {
+        None: "61031d92c2418e0d77b394cfcee08ba0ce9226fcc89d507776887d1347aad581",
+        "50us/R.WB(32,32)": (
+            "f24904a4b4a697dba05269917da8e59be21f3cb8fb9b7329e64b0f6c4d987702"
+        ),
+    },
+}
+
+
+class TestKeyStability:
+    def test_every_key_of_the_full_grid_digests_its_payload(self, arch):
+        requests = [
+            WorkloadRequest(name, length_scale=0.02) for name in APPLICATION_NAMES
+        ]
+        jobs = enumerate_jobs(requests, default_policy_points(), arch)
+        assert len(jobs) == len(APPLICATION_NAMES) * 43
+        for job in jobs:
+            assert job.key() == hash_payload_digest(job.hash_payload())
+
+    def test_points_share_one_config_across_applications(self, arch):
+        requests = [WorkloadRequest("fft"), WorkloadRequest("lu")]
+        jobs = enumerate_jobs(requests, POINTS, arch)
+        per_app = len(POINTS) + 1
+        for first, second in zip(jobs[:per_app], jobs[per_app:]):
+            assert first.config is second.config
+
+    def test_int_and_float_length_scale_keep_distinct_keys(self, arch):
+        config = SimulationConfig.sram(arch)
+        as_int = Job(WorkloadRequest("fft", length_scale=1), config)
+        as_float = Job(WorkloadRequest("fft", length_scale=1.0), config)
+        # Equal as values, but their canonical JSON differs ("1" vs "1.0").
+        assert as_int.workload == as_float.workload
+        assert as_int.key() != as_float.key()
+        assert as_int.key() == hash_payload_digest(as_int.hash_payload())
+        assert as_float.key() == hash_payload_digest(as_float.hash_payload())
+
+    def test_pinned_keys(self, arch):
+        jobs = enumerate_jobs(
+            [WorkloadRequest("fft", length_scale=0.02, seed=5)],
+            default_policy_points(),
+            arch,
+        )
+        keys = {job.point_label: job.key() for job in jobs}
+        for label, key in PINNED_KEYS[TRACE_GENERATOR_PROVENANCE].items():
+            assert keys[label] == key
 
 
 class TestWorkloadRequest:
@@ -282,6 +345,12 @@ class TestSerialisationRoundTrips:
             assert PolicyPoint.from_label(point.label) == point
         with pytest.raises(ValueError):
             PolicyPoint.from_label("50us/Q.sometimes")
+
+    def test_policy_point_labels_are_computed_once(self):
+        point = default_policy_points()[-1]
+        assert point.label is point.label
+        assert point.policy_label is point.policy_label
+        assert PolicyPoint.from_label(point.label) == point
 
     def test_policy_point_label_round_trip_awkward_retentions(self):
         # %g renders >= 1e6 us in scientific notation and truncates values
